@@ -243,7 +243,7 @@ def report_hotpath():
 
 
 def report_oodb():
-    """OODB write path: bulk commit throughput with and without group commit.
+    """OODB write path: bulk commit throughput through group commit.
 
     Writes ``BENCH_oodb.json`` at the repo root.
     """
@@ -272,11 +272,9 @@ def report_oodb():
             results.append(time.perf_counter() - start)
         return min(results)
 
-    def measure(group_commit: bool) -> dict:
+    def measure() -> dict:
         directory = tempfile.mkdtemp(prefix="repro-bench-oodb-")
-        db = Database(
-            directory, registry=registry, sync=False, group_commit=group_commit
-        )
+        db = Database(directory, registry=registry, sync=False)
         try:
 
             def create200():
@@ -307,18 +305,11 @@ def report_oodb():
         }
 
     reset_pipeline_stats()
-    grouped = measure(group_commit=True)
+    grouped = measure()
     stats = pipeline_stats.snapshot()
-    per_record = measure(group_commit=False)
 
     payload = {
         "group_commit": grouped,
-        "per_record_logging": per_record,
-        "group_over_per_record_create": round(
-            grouped["create_commit_200_objs_per_s"]
-            / per_record["create_commit_200_objs_per_s"],
-            2,
-        ),
         "serializer_fast_objects": stats["serializer_fast_objects"],
         "serializer_slow_objects": stats["serializer_slow_objects"],
         "group_commits": stats["group_commits"],
@@ -332,8 +323,6 @@ def report_oodb():
         [
             ("group commit", grouped["create_commit_200_objs_per_s"],
              grouped["update_commit_200_objs_per_s"]),
-            ("per-record logging", per_record["create_commit_200_objs_per_s"],
-             per_record["update_commit_200_objs_per_s"]),
         ],
     )
     print(f"wrote {path}")

@@ -121,7 +121,7 @@ def test_reopen_with_recovery(benchmark, tmp_path):
             database.add(Record(key=i))
     # Crash-style close: WAL kept, no checkpoint.
     database._pool.flush_all()
-    database._wal.flush(force_sync=True)
+    database._wal.flush()
     database._wal._file.close()
     database._closed = True
 
@@ -172,21 +172,7 @@ def test_garbage_collection(benchmark, tmp_path):
 def test_group_commit_batch(benchmark, tmp_path):
     benchmark.group = "E15 object store"
     benchmark.name = f"create+commit batch of {BATCH} (group commit)"
-    database = Database(str(tmp_path / "db"), sync=False, group_commit=True)
-
-    def run():
-        with database.transaction():
-            for i in range(BATCH):
-                database.add(Record(key=i, payload="x" * 50))
-
-    benchmark.pedantic(run, rounds=10)
-    database.close()
-
-
-def test_per_record_logging_batch(benchmark, tmp_path):
-    benchmark.group = "E15 object store"
-    benchmark.name = f"create+commit batch of {BATCH} (per-record logging)"
-    database = Database(str(tmp_path / "db"), sync=False, group_commit=False)
+    database = Database(str(tmp_path / "db"), sync=False)
 
     def run():
         with database.transaction():
@@ -201,7 +187,7 @@ def test_shape_group_commit_batches_wal_writes(tmp_path):
     """One transaction → one group commit covering every logged record."""
     from repro.obs.metrics import pipeline_stats, reset_pipeline_stats
 
-    database = Database(str(tmp_path / "db"), sync=False, group_commit=True)
+    database = Database(str(tmp_path / "db"), sync=False)
     try:
         reset_pipeline_stats()
         with database.transaction():

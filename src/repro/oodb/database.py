@@ -76,15 +76,11 @@ class Database:
         Class registry to decode records with; defaults to the process-wide
         registry.
     sync:
-        Whether commits fsync the WAL (durability vs. speed).
-    fsync:
-        Finer-grained fsync policy (``"commit"``, ``"always"`` or
-        ``"never"``, see :data:`~repro.oodb.storage.wal.FSYNC_POLICIES`);
-        overrides ``sync`` when given.
-    group_commit:
-        Log each transaction as one batched WAL write (default) instead of
-        one write per record.  Same bytes on disk either way; the knob
-        exists so recovery can be exercised against both paths.
+        Whether commits are durable.  ``True`` (the default, and what
+        production uses) runs the WAL's syncer thread: each transaction is
+        logged as one batched write and commit waits until a group fsync
+        covers it; a failed fsync fails the commit with ``WALError``.
+        ``False`` never fsyncs the log (benchmarks and tests).
     locking:
         Whether to acquire per-object locks (needed only for multithreaded
         use; single-threaded benchmarks leave it off).  With locking on,
@@ -109,8 +105,6 @@ class Database:
         *,
         registry: ClassRegistry | None = None,
         sync: bool = True,
-        fsync: str | None = None,
-        group_commit: bool = True,
         locking: bool = False,
         buffer_capacity: int = 256,
         profile_queries: bool = False,
@@ -120,7 +114,6 @@ class Database:
         # registry the application supplies.
         self.registry.register(RootMap)
         self.locking = locking
-        self.group_commit = group_commit
         #: When True every query executes through the instrumented
         #: pipeline (see ``Query.explain(analyze=True)``); the most
         #: recent evidence is kept on :attr:`last_query_profile`.
@@ -147,6 +140,7 @@ class Database:
         # in-flight ones out before truncating the log.
         self._ckpt_gate = threading.Condition(threading.Lock())
         self._commits_in_flight = 0
+        self._commits_stalled = 0
         self._checkpointing = False
         #: Commit-timestamp watermark: bumped (last) by every commit that
         #: writes, read by snapshots.  Monotonic per database.
@@ -172,17 +166,7 @@ class Database:
             os.makedirs(self._dir, exist_ok=True)
             self._pool = BufferPool(capacity=buffer_capacity)
             self._heap = HeapFile(os.path.join(self._dir, "data.heap"), self._pool)
-            # Concurrent databases get the dedicated WAL-syncer thread:
-            # committers publish a target LSN and overlap their CPU work
-            # with the daemon's back-to-back fsyncs (async group commit).
-            # Single-threaded databases keep the cheaper inline
-            # leader-follower fsync — no handoff, no extra thread.
-            self._wal = WriteAheadLog(
-                os.path.join(self._dir, "wal.log"),
-                sync=sync,
-                fsync_policy=fsync,
-                syncer=locking,
-            )
+            self._wal = WriteAheadLog(os.path.join(self._dir, "wal.log"), sync=sync)
             self._memory_records = {}
             self.last_recovery = self._recover_and_load()
 
@@ -748,8 +732,13 @@ class Database:
         # apply) atomic with respect to checkpoints while leaving commits
         # free to overlap *each other* — group commit batches their fsyncs.
         with self._ckpt_gate:
-            while self._checkpointing:
-                self._ckpt_gate.wait()
+            if self._checkpointing:
+                self._commits_stalled += 1
+                while self._checkpointing:
+                    self._ckpt_gate.wait()
+                self._commits_stalled -= 1
+                if not self._commits_stalled:
+                    self._ckpt_gate.notify_all()
             self._commits_in_flight += 1
         try:
             self._log_commit_wal(txn, payloads, wal_redo)
@@ -774,23 +763,11 @@ class Database:
                 oid: None if before is None else codec.jsonable_record(before)
                 for oid, before in txn._undo.items()
             }
-            if self.group_commit:
-                updates: list[Any] = [
-                    (oid.value, undo.get(oid), wal_redo[oid]) for oid in payloads
-                ]
-                updates.extend(
-                    (oid.value, undo.get(oid), None) for oid in txn._deleted
-                )
-                self._wal.log_transaction(txn.id, updates)
-            else:
-                self._wal.log_begin(txn.id)
-                for oid in payloads:
-                    self._wal.log_update(
-                        txn.id, oid.value, undo.get(oid), wal_redo[oid]
-                    )
-                for oid in txn._deleted:
-                    self._wal.log_update(txn.id, oid.value, undo.get(oid), None)
-                self._wal.log_commit(txn.id)
+            updates: list[Any] = [
+                (oid.value, undo.get(oid), wal_redo[oid]) for oid in payloads
+            ]
+            updates.extend((oid.value, undo.get(oid), None) for oid in txn._deleted)
+            self._wal.log_transaction(txn.id, updates)
 
     def _apply_commit_store(
         self, txn: Transaction, payloads: "dict[Oid, bytes]"
@@ -1070,7 +1047,9 @@ class Database:
         # logged to the WAL but not yet applied to the heap must not have
         # its log records truncated out from under it.
         with self._ckpt_gate:
-            while self._checkpointing:
+            # Commits stalled by the previous checkpoint get in first, so
+            # back-to-back checkpoints cannot starve them.
+            while self._checkpointing or self._commits_stalled:
                 self._ckpt_gate.wait()
             self._checkpointing = True
             while self._commits_in_flight:

@@ -19,14 +19,22 @@ is detected by a short read or checksum mismatch and the log is truncated
 at the last valid entry.
 
 Concurrency: the log is shared by every committing thread.  A buffer
-mutex serializes appends and file writes (so entries land in LSN order),
-and commits synchronize durability through **leader–follower group
-commit**: the first committer to need an fsync becomes the leader, drains
-whatever later committers buffered in the meantime, and issues one fsync
-that covers them all; a follower whose bytes are already under the
-durable watermark (``_synced_end``) returns without syncing at all.  On a
-busy box this collapses N concurrent commits into one fsync — the entire
-scaling story for mixed workloads on a single spindle.
+mutex serializes appends and file writes (so entries land in LSN order).
+Durability has one path, **group commit through the syncer thread**: a
+``sync=True`` log runs a ``wal-syncer`` daemon, committers publish the
+offset they need durable and wait, and the syncer drains everything
+buffered so far and covers it with one fsync, back to back while work is
+pending.  N concurrent commits collapse into one fsync, and committers
+keep doing CPU work while it is in flight.  A ``sync=False`` log never
+fsyncs (benchmarks and tests).
+
+A failed fsync is fail-stop: the syncer records the error, wakes every
+waiter and exits.  Every commit waiting on it, and every later one,
+raises :class:`~repro.oodb.errors.WALError`; the fsync is never retried,
+because after a failed fsync Linux may already have dropped the dirty
+pages.  The log stays failed until it is reopened, and recovery then
+decides from what actually reached the disk.  A commit that got the
+error was never acknowledged; it may or may not survive the restart.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ __all__ = [
     "LogRecordType",
     "LogRecord",
     "WriteAheadLog",
-    "FSYNC_POLICIES",
     "read_records",
 ]
 
@@ -63,13 +70,6 @@ _FRAME = struct.Struct("<II")
 #: uses for packed vs JSON record payloads.
 _BINARY_UPDATE = 0x01
 _BINARY_HEAD = struct.Struct("<BQQI")
-
-#: When the log calls ``os.fsync``:
-#: ``"commit"`` — once per commit boundary (group commit; the default),
-#: ``"always"`` — after every appended record (paranoid, no batching),
-#: ``"never"``  — leave durability to the OS page cache (benchmarks).
-FSYNC_POLICIES = ("commit", "always", "never")
-
 
 class LogRecordType(str, enum.Enum):
     """Kinds of log record."""
@@ -172,34 +172,20 @@ class WriteAheadLog:
     """Append-only, checksummed log with crash-safe truncation.
 
     Appends accumulate in an in-process buffer; :meth:`flush` writes the
-    whole buffer with one ``write`` call and (per ``fsync_policy``) one
-    ``fsync``.  Commit boundaries (:meth:`log_commit`,
-    :meth:`log_transaction`, :meth:`log_checkpoint`) always flush, so the
-    durability contract is unchanged from per-record writing: a committed
-    transaction's records are on disk before commit returns.  Records
-    buffered at crash time belong to uncommitted transactions and recovery
-    discards them anyway.
+    whole buffer with one ``write`` call and, when ``sync`` is set, waits
+    for the syncer thread to fsync it.  Commit boundaries
+    (:meth:`log_commit`, :meth:`log_transaction`, :meth:`log_checkpoint`)
+    always flush, so a committed transaction's records are on disk before
+    commit returns.  Records buffered at crash time belong to uncommitted
+    transactions and recovery discards them anyway.
 
-    ``sync`` is the legacy knob (``True`` → fsync at commit boundaries);
-    ``fsync_policy`` overrides it with one of :data:`FSYNC_POLICIES`.
+    ``sync`` is the only durability setting: ``True`` (production) runs the
+    ``wal-syncer`` thread, ``False`` never fsyncs the log.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        sync: bool = True,
-        fsync_policy: str | None = None,
-        syncer: bool = False,
-    ) -> None:
-        if fsync_policy is None:
-            fsync_policy = "commit" if sync else "never"
-        if fsync_policy not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync_policy must be one of {FSYNC_POLICIES}, got {fsync_policy!r}"
-            )
+    def __init__(self, path: str | os.PathLike[str], sync: bool = True) -> None:
         self._path = os.fspath(path)
-        self._sync = fsync_policy != "never"
-        self._fsync_policy = fsync_policy
+        self._sync = sync
         self._pending: list[bytes] = []
         self._file = open(self._path, "ab+")
         self._file.seek(0, os.SEEK_END)
@@ -207,35 +193,24 @@ class WriteAheadLog:
         # Guards _pending/_end and all writes to _file (entries must hit
         # the OS in LSN order).  Never held across an fsync.
         self._mutex = threading.Lock()
-        # Group-commit leadership: one fsync in flight at a time.  A
-        # committer whose target offset is already <= _synced_end was
-        # covered by an earlier leader's fsync and skips its own.
-        self._sync_lock = threading.Lock()
-        self._synced_end = self._end
-        # Dedicated-syncer mode (``syncer=True``): committers never fsync
-        # themselves; they publish a target offset and block until the
-        # syncer thread's back-to-back fsync loop covers it.  The
-        # leader–follower path above leaves the disk idle between a
-        # leader finishing and the next waiter claiming leadership (it
-        # needs the GIL to take over); the daemon keeps an fsync in
-        # flight whenever anything is pending, which is what makes
-        # multi-threaded commit throughput scale on one core.
+        # Committers publish a target offset in _requested_end and block
+        # until the syncer's watermark _synced_end covers it.
         self._sync_cond = threading.Condition()
+        self._synced_end = self._end
         self._requested_end = self._end
         # Bumped by truncate() so a syncer fsync that raced it cannot
         # publish a stale (pre-truncate) watermark.
         self._epoch = 0
+        #: The write or fsync error that stopped the syncer; once set the
+        #: log refuses commits until it is reopened.
+        self._failed: OSError | None = None
         self._syncer_stop = False
         self._syncer: threading.Thread | None = None
-        if syncer and self._sync:
+        if sync:
             self._syncer = threading.Thread(
                 target=self._sync_loop, name="wal-syncer", daemon=True
             )
             self._syncer.start()
-
-    @property
-    def fsync_policy(self) -> str:
-        return self._fsync_policy
 
     # ------------------------------------------------------------------
     # Appending
@@ -252,8 +227,6 @@ class WriteAheadLog:
             lsn = self._end
             self._pending.append(framed)
             self._end += len(framed)
-        if self._fsync_policy == "always":
-            self.flush(force_sync=True)
         return lsn
 
     def _drain_locked(self) -> int:
@@ -268,42 +241,46 @@ class WriteAheadLog:
         self._file.flush()
         return self._end
 
-    def flush(self, force_sync: bool | None = None) -> None:
-        """Write buffered entries in one call; optionally force an fsync."""
+    def flush(self) -> None:
+        """Write buffered entries in one call; a ``sync`` log then waits
+        until they are durable."""
         with self._mutex:
             target = self._drain_locked()
-        if self._sync if force_sync is None else force_sync:
+        if self._sync:
             self._sync_to(target)
 
-    def _sync_to(self, target: int) -> None:
-        """Make the log durable through offset ``target`` (group commit).
+    def _check_failed(self) -> None:
+        if self._failed is not None:
+            raise WALError(
+                f"WAL fsync failed ({self._failed}); the log refuses "
+                "commits until it is reopened"
+            ) from self._failed
 
-        Leader–follower: if an earlier fsync already covered ``target``
-        the call returns immediately (the racy unlocked read is safe —
-        ``_synced_end`` only grows).  Otherwise the caller takes the sync
-        lock; by the time it gets it, another leader may have covered the
-        target (check again), else it becomes the leader: re-drain the
-        buffer so commits that arrived while waiting ride along, then
-        issue one fsync for everybody.
+    def _sync_to(self, target: int) -> None:
+        """Block until the syncer has made the log durable through ``target``.
+
+        Returns at once if an earlier fsync already covered ``target`` (the
+        racy unlocked read is safe: ``_synced_end`` only grows between
+        truncates, and truncate resets it under ``_mutex``, which the
+        caller's append took after it).  Raises :class:`WALError` if the
+        syncer failed, or stopped, before covering it.
         """
         if self._synced_end >= target:
             return
-        if self._syncer is not None:
-            with self._sync_cond:
-                if self._requested_end < target:
-                    self._requested_end = target
-                    self._sync_cond.notify_all()
-                while self._synced_end < target and not self._syncer_stop:
-                    self._sync_cond.wait()
-            return
-        with self._sync_lock:
+        with self._sync_cond:
+            if self._requested_end < target:
+                self._requested_end = target
+                self._sync_cond.notify_all()
+            while (
+                self._synced_end < target
+                and self._failed is None
+                and not self._syncer_stop
+            ):
+                self._sync_cond.wait()
             if self._synced_end >= target:
                 return
-            with self._mutex:
-                covered = self._drain_locked()
-            self._fsync_instrumented()
-            self._synced_end = covered
-            pipeline_stats.wal_syncs += 1
+        self._check_failed()
+        raise WALError("write-ahead log closed before the commit was durable")
 
     def _fsync_instrumented(self) -> None:
         """One fsync, timed for the slow-fsync signal / slow-op log."""
@@ -330,14 +307,15 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
 
     def _sync_loop(self) -> None:
-        """The dedicated syncer: fsync back-to-back while work is pending.
+        """The syncer: fsync back-to-back while work is pending.
 
         Each pass drains whatever committers buffered (including entries
         appended *during the previous fsync*) and makes it durable with
         one fsync, then publishes the new watermark and wakes every
         waiting committer whose target it covered.  Commits keep doing
         CPU work while the fsync is in flight — the disk and the
-        interpreter stay busy simultaneously.
+        interpreter stay busy simultaneously.  A failed write or fsync
+        marks the log failed, wakes every waiter and ends the thread.
         """
         while True:
             with self._sync_cond:
@@ -349,9 +327,15 @@ class WriteAheadLog:
                 if self._syncer_stop:
                     return
                 epoch = self._epoch
-            with self._mutex:
-                covered = self._drain_locked()
-            self._fsync_instrumented()
+            try:
+                with self._mutex:
+                    covered = self._drain_locked()
+                self._fsync_instrumented()
+            except OSError as exc:
+                with self._sync_cond:
+                    self._failed = exc
+                    self._sync_cond.notify_all()
+                return
             with self._sync_cond:
                 if self._epoch == epoch:
                     self._synced_end = covered
@@ -375,8 +359,6 @@ class WriteAheadLog:
             lsn = self._end
             self._pending.append(framed)
             self._end += len(framed)
-        if self._fsync_policy == "always":
-            self.flush(force_sync=True)
         return lsn
 
     def log_commit(self, txn_id: int) -> int:
@@ -456,6 +438,9 @@ class WriteAheadLog:
             tuple[int, dict[str, Any] | None, dict[str, Any] | str | bytes | None]
         ],
     ) -> tuple[int, int, int]:
+        # A failed log takes no more commits: their records would reach
+        # the file and could resurrect a transaction reported as failed.
+        self._check_failed()
         frames = [self._frame(LogRecord(LogRecordType.BEGIN, txn_id))]
         count = 2
         for oid, undo, redo in updates:
@@ -479,7 +464,7 @@ class WriteAheadLog:
         lsn = self.append(
             LogRecord(LogRecordType.CHECKPOINT, txn_id=0, extra=catalog)
         )
-        self.flush(force_sync=True)
+        self.flush()
         return lsn
 
     # ------------------------------------------------------------------
@@ -491,7 +476,8 @@ class WriteAheadLog:
         Stops cleanly at the first torn or corrupt entry (treating it as
         the logical end of the log, as a crashed append would leave).
         """
-        self.flush(force_sync=False)
+        with self._mutex:
+            self._drain_locked()
         yield from read_records(self._path)
 
     def tail_size(self) -> int:
@@ -503,37 +489,44 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def truncate(self) -> None:
         """Discard all log entries (after a checkpoint made them redundant)."""
-        # Lock order matches the leader path (_sync_lock then _mutex), and
-        # holding both keeps a concurrent committer from appending between
-        # the truncate and the watermark reset.
-        with self._sync_lock:
-            with self._mutex:
-                self._pending.clear()
-                self._file.truncate(0)
-                self._file.seek(0)
-                self._end = 0
-                self._file.flush()
-            os.fsync(self._file.fileno())
+        self._check_failed()
+        with self._mutex:
+            self._pending.clear()
+            self._file.truncate(0)
+            self._file.seek(0)
+            self._end = 0
+            self._file.flush()
+            # Reset the watermark before _mutex is released, so a committer
+            # appending after the truncate cannot see a stale pre-truncate
+            # _synced_end, and bump the epoch so a syncer fsync that raced
+            # the truncate cannot publish one.  -1: not even the empty log
+            # is durable until the syncer has fsynced the truncation.
             with self._sync_cond:
-                # Invalidate any syncer fsync that raced the truncate so
-                # it cannot publish a stale pre-truncate watermark.
                 self._epoch += 1
-                self._synced_end = 0
-                self._requested_end = 0
-                self._sync_cond.notify_all()
-            pipeline_stats.wal_syncs += 1
+                self._synced_end = -1
+                self._requested_end = -1
+        if self._sync:
+            self._sync_to(0)
 
     def close(self) -> None:
-        self.flush()
+        """Flush, stop the syncer and close the file.
+
+        A failed log skips the final sync (its error already reached every
+        committer that needed durability) and still closes promptly.
+        """
+        if self._failed is None:
+            self.flush()
+        else:
+            with self._mutex:
+                self._drain_locked()
         if self._syncer is not None:
             with self._sync_cond:
                 self._syncer_stop = True
                 self._sync_cond.notify_all()
             self._syncer.join(timeout=5.0)
             self._syncer = None
-        with self._sync_lock:
-            with self._mutex:
-                self._file.close()
+        with self._mutex:
+            self._file.close()
 
     @property
     def path(self) -> str:

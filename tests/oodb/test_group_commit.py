@@ -1,16 +1,20 @@
-"""Tests for WAL group commit and the fsync policy knob.
+"""Tests for WAL group commit and the ``sync`` setting.
 
 Group commit batches a transaction's BEGIN/UPDATE.../COMMIT into a single
-buffered write with one flush (and at most one fsync) at the commit
-boundary.  The on-disk format is unchanged, so recovery must behave
-identically whichever logging path produced the log.
+buffered write with one flush (and at most one fsync, issued by the
+``wal-syncer`` thread) at the commit boundary.  The on-disk format is the
+same as per-record appends, so recovery replays either identically.
 """
+
+import os
+import threading
 
 import pytest
 
 from repro.oodb import Database, Persistent
 from repro.oodb.recovery import replay
-from repro.oodb.storage.wal import FSYNC_POLICIES, LogRecordType, WriteAheadLog
+from repro.oodb.schema import ClassRegistry
+from repro.oodb.storage.wal import LogRecordType, WriteAheadLog
 from repro.obs.metrics import pipeline_stats, reset_pipeline_stats
 
 
@@ -20,11 +24,16 @@ class Doc(Persistent):
         self.body = body
 
 
-def _simulate_crash(db: Database) -> None:
-    """Close file handles without checkpoint — as a crash would."""
+def _simulate_crash(db: Database, flush_heap: bool = True) -> None:
+    """Close file handles without checkpoint — as a crash would.
+
+    With ``flush_heap=False`` dirty heap pages are lost too, so recovery
+    must redo everything since the last checkpoint from the log.
+    """
     assert db._heap is not None and db._wal is not None
-    db._pool.flush_all()
-    db._wal.flush(force_sync=True)
+    if flush_heap:
+        db._pool.flush_all()
+    db._wal.flush()
     db._heap._pool = None  # ensure no further use
     db._closed = True
     db._wal._file.close()
@@ -104,53 +113,46 @@ class TestBufferedAppends:
 
 
 class TestFsyncPolicy:
-    def test_policies_enumerated(self):
-        assert set(FSYNC_POLICIES) == {"commit", "always", "never"}
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            WriteAheadLog(tmp_path / "w.log", fsync_policy="sometimes")
-
-    def test_sync_flag_maps_to_policy(self, tmp_path):
-        assert WriteAheadLog(tmp_path / "a.log", sync=True).fsync_policy == "commit"
-        assert WriteAheadLog(tmp_path / "b.log", sync=False).fsync_policy == "never"
-
-    def test_never_policy_skips_fsync(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log", fsync_policy="never")
+    def test_never_policy_skips_fsync(self, tmp_path, monkeypatch):
+        """A ``sync=False`` log never fsyncs, not even on truncate."""
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", fsyncs.append)
+        wal = WriteAheadLog(tmp_path / "w.log", sync=False)
+        assert wal._syncer is None
         reset_pipeline_stats()
         wal.log_transaction(1, [(5, None, {"v": 1})])
+        wal.truncate()
         assert pipeline_stats.wal_syncs == 0
         wal.close()
+        assert fsyncs == []
 
     def test_commit_policy_syncs_once_per_transaction(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log", fsync_policy="commit")
+        wal = WriteAheadLog(tmp_path / "w.log", sync=True)
         reset_pipeline_stats()
         wal.log_transaction(1, [(5, None, {"v": 1}), (6, None, {"v": 2})])
         assert pipeline_stats.wal_syncs == 1
         wal.close()
 
-    def test_always_policy_syncs_every_append(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "w.log", fsync_policy="always")
-        reset_pipeline_stats()
-        wal.log_begin(1)
-        wal.log_update(1, 5, None, {"v": 1})
-        assert pipeline_stats.wal_syncs == 2
-        wal.close()
-
-    def test_database_accepts_fsync_policy(self, tmp_path):
-        db = Database(str(tmp_path / "db"), fsync="never")
-        assert db._wal is not None
-        assert db._wal.fsync_policy == "never"
+    def test_database_runs_the_syncer_until_close(self, tmp_path):
+        db = Database(str(tmp_path / "db"))
+        assert db.locking is False
+        syncer = db._wal._syncer
+        assert syncer is not None
+        assert syncer.name == "wal-syncer"
+        assert syncer.is_alive()
         with db.transaction():
             db.add(Doc("x"))
         db.close()
+        assert not syncer.is_alive()
 
 
-@pytest.mark.parametrize("group_commit", [True, False])
+@pytest.mark.parametrize("locking", [True, False])
 class TestRecoveryBothPaths:
-    def test_committed_work_survives_crash(self, tmp_path, group_commit):
+    """Both ``Database`` modes commit through the one WAL path."""
+
+    def test_committed_work_survives_crash(self, tmp_path, locking):
         path = str(tmp_path / "db")
-        db = Database(path, sync=False, group_commit=group_commit)
+        db = Database(path, sync=False, locking=locking)
         with db.transaction():
             doc = Doc("hello")
             db.add(doc)
@@ -164,9 +166,9 @@ class TestRecoveryBothPaths:
         assert db2.get_root("doc") is restored
         db2.close()
 
-    def test_update_and_delete_survive_crash(self, tmp_path, group_commit):
+    def test_update_and_delete_survive_crash(self, tmp_path, locking):
         path = str(tmp_path / "db")
-        db = Database(path, sync=False, group_commit=group_commit)
+        db = Database(path, sync=False, locking=locking)
         with db.transaction():
             keep = Doc("v1")
             gone = Doc("bye")
@@ -188,9 +190,9 @@ class TestRecoveryBothPaths:
             db2.fetch(gone_oid)
         db2.close()
 
-    def test_reopen_after_clean_close(self, tmp_path, group_commit):
+    def test_reopen_after_clean_close(self, tmp_path, locking):
         path = str(tmp_path / "db")
-        db = Database(path, sync=False, group_commit=group_commit)
+        db = Database(path, sync=False, locking=locking)
         with db.transaction():
             db.set_root("d", Doc("x"))
         db.close()
@@ -199,4 +201,57 @@ class TestRecoveryBothPaths:
         assert db2.last_recovery is not None
         assert db2.last_recovery.clean
         assert db2.get_root("d").body == "x"
+        db2.close()
+
+
+class TestCheckpointRace:
+    def test_checkpoint_loop_loses_no_acked_increment(self, tmp_path):
+        """Committers race a checkpoint loop; each checkpoint truncates the
+        log under the syncer.  A crash that loses the dirty heap pages must
+        still find every acknowledged increment in the log."""
+        registry = ClassRegistry()
+
+        class Counter(Persistent, registry=registry):
+            def __init__(self) -> None:
+                super().__init__()
+                self.value = 0
+
+        path = str(tmp_path / "db")
+        db = Database(path, registry=registry, locking=True)
+        with db.transaction():
+            oids = [db.add(Counter()) for _ in range(4)]
+        per_thread = 25
+        acked = [0] * len(oids)
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            def bump() -> None:
+                db.fetch(oids[index]).value += 1
+
+            try:
+                for _ in range(per_thread):
+                    db.run_transaction(bump, attempts=25)
+                    acked[index] += 1
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        checkpoints = 0
+        while any(t.is_alive() for t in threads):
+            db.checkpoint()
+            checkpoints += 1
+        for t in threads:
+            t.join(30.0)
+        assert [t.name for t in threads if t.is_alive()] == []
+        assert errors == []
+        assert checkpoints > 0
+        assert db.locks.waiting_edges() == {}
+        assert db.locks.lock_table_size() == 0
+        _simulate_crash(db, flush_heap=False)
+
+        db2 = Database(path, registry=registry, sync=False)
+        assert [db2.fetch(oid).value for oid in oids] == acked
+        assert acked == [per_thread] * len(oids)
         db2.close()

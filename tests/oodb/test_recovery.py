@@ -89,7 +89,7 @@ def _simulate_crash(db: Database) -> None:
     """Close file handles without checkpoint — as a crash would."""
     assert db._heap is not None and db._wal is not None
     db._pool.flush_all()
-    db._wal.flush(force_sync=True)
+    db._wal.flush()
     db._heap._pool = None  # ensure no further use
     db._closed = True
     db._wal._file.close()
@@ -224,7 +224,7 @@ def _simulate_hard_crash(db: Database) -> None:
     the committed work from the log.
     """
     assert db._heap is not None and db._wal is not None
-    db._wal.flush(force_sync=True)
+    db._wal.flush()
     db._closed = True
     db._wal._file.close()
 

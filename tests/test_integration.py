@@ -107,7 +107,7 @@ class TestApplicationLifecycle:
             db.get_root("audit").append("pre-crash deposit")
         # Crash: flush data, keep WAL, skip checkpoint/meta.
         db._pool.flush_all()
-        db._wal.flush(force_sync=True)
+        db._wal.flush()
         db._wal._file.close()
         db._closed = True
 
