@@ -10,8 +10,10 @@ predicates, and sorts/limits the result.  Execution is planned per run:
   O(log n) nodes, so when both kinds cover an attribute the hash wins
   point lookups; the cheapest choice becomes the access path and the
   other selective ones are intersected as OID sets, with the rest applied
-  as residual filters.  Hash indexes are equality-only: range filters and
-  ``order_by`` never use them,
+  as residual filters.  A lower and an upper bound on one B-tree-indexed
+  attribute merge into one two-sided interval, probed once.  Hash
+  indexes are equality-only: range filters and ``order_by`` never use
+  them,
 * ``order_by`` on an indexed attribute streams from the B-tree in key
   order instead of sorting, so ``limit(k)`` stops after ~k fetches,
 * ``count()`` and ``exists()`` are answered from the index alone when no
@@ -134,11 +136,24 @@ class IndexChoice:
     estimated_rows: int
     kind: str = "btree"
     cost: float = 0.0
+    #: ``(op, value)`` of an upper comparison (``<``/``<=``) merged into
+    #: this lower one (``>``/``>=``): one two-sided B-tree interval.
+    upper: tuple[str, Any] | None = None
+
+    def comparisons(self) -> tuple[tuple[str, str, Any], ...]:
+        """The ``(attribute, op, value)`` filters this choice applies."""
+        lower = (self.attribute, self.op, self.value)
+        if self.upper is None:
+            return (lower,)
+        return (lower, (self.attribute, *self.upper))
 
     def describe(self) -> str:
+        applied = " and ".join(
+            f"{attribute} {op} {value!r}"
+            for attribute, op, value in self.comparisons()
+        )
         return (
-            f"{self.kind}:{self.index_name} "
-            f"({self.attribute} {self.op} {self.value!r}),"
+            f"{self.kind}:{self.index_name} ({applied}),"
             f" est ~{self.estimated_rows} rows"
         )
 
@@ -215,6 +230,7 @@ class QueryPlan:
                     "index": c.index_name,
                     "kind": c.kind,
                     "estimated_rows": c.estimated_rows,
+                    **({"upper": [c.upper[0], repr(c.upper[1])]} if c.upper else {}),
                 }
                 for c in self.index_filters
             ],
@@ -423,7 +439,7 @@ class Query:
 
         choices: list[IndexChoice] = []
         residual: list[tuple[str, str, Any]] = []
-        for attribute, op, value in self._attr_filters:
+        for attribute, op, value, upper in self._interval_filters():
             states = (
                 db.indexes.covering_all(self._class_name, attribute)
                 if op in _INDEXABLE_OPS
@@ -440,7 +456,9 @@ class Query:
                     estimate = tree.count_key(value)
                 else:
                     assert isinstance(tree, BTree)
-                    if op in ("<", "<="):
+                    if upper is not None:
+                        estimate = tree.estimate_range_count(value, upper[1])
+                    elif op in ("<", "<="):
                         estimate = tree.estimate_range_count(None, value)
                     else:
                         estimate = tree.estimate_range_count(value, None)
@@ -454,6 +472,7 @@ class Query:
                         estimate,
                         state.kind,
                         cost,
+                        upper,
                     )
             if best is None:
                 residual.append((attribute, op, value))
@@ -470,7 +489,7 @@ class Query:
                 if choice.estimated_rows <= cap:
                     secondary.append(choice)
                 else:
-                    residual.append((choice.attribute, choice.op, choice.value))
+                    residual.extend(choice.comparisons())
             index_filters = (primary, *secondary)
             if secondary:
                 access_path = "index_intersect"
@@ -515,6 +534,33 @@ class Query:
             extent_size=extent_size,
         )
         return plan
+
+    def _interval_filters(
+        self,
+    ) -> list[tuple[str, str, Any, tuple[str, Any] | None]]:
+        """The attribute filters as ``(attribute, op, value, upper)``.
+
+        On a B-tree-indexed attribute the first lower (``>``/``>=``) and
+        first upper (``<``/``<=``) comparison merge into one entry, at the
+        earlier one's place, with ``upper=(op, value)``: one two-sided
+        probe instead of two half-open ones.
+        """
+        filters = self._attr_filters
+        entries: list[Any] = [(*f, None) for f in filters]
+        first: dict[tuple[str, bool], int] = {}
+        for i, (attribute, op, _value) in enumerate(filters):
+            if op in ("<", "<=", ">", ">="):
+                first.setdefault((attribute, op in (">", ">=")), i)
+        indexes = self._db.indexes
+        for (attribute, is_lower), low in first.items():
+            high = first.get((attribute, False))
+            if not is_lower or high is None or indexes.covering(
+                self._class_name, attribute, kind="btree"
+            ) is None:
+                continue
+            entries[min(low, high)] = (*filters[low], filters[high][1:])
+            entries[max(low, high)] = None
+        return [entry for entry in entries if entry is not None]
 
     def _note_execution(self, plan: QueryPlan) -> None:
         _count_execution(plan.access_path)
@@ -763,8 +809,9 @@ class Query:
         if not plan.index_filters or self._ambient_snapshot() is None:
             return residual
         checks = [
-            (choice.attribute, _OPS[choice.op], choice.value)
+            (attribute, _OPS[op], value)
             for choice in plan.index_filters
+            for attribute, op, value in choice.comparisons()
         ]
 
         def passes(obj: Any) -> bool:
@@ -786,33 +833,48 @@ class Query:
         db = self._db
         if db.locking:
             with db._state_lock:
-                return list(self._candidate_oids(plan, self._wanted()))
-        return self._candidate_oids(plan, self._wanted())
+                return list(self._candidate_oids(plan))
+        return self._candidate_oids(plan)
 
-    def _candidate_oids(
-        self, plan: QueryPlan, wanted: set[Oid]
-    ) -> Iterator[Oid]:
+    def _candidate_oids(self, plan: QueryPlan) -> Iterator[Oid]:
         if plan.access_path == "extent_scan":
-            return iter(sorted(wanted))
+            return iter(sorted(self._wanted()))
         if plan.access_path == "index_order":
-            return self._ordered_extent_oids(plan, wanted)
+            return self._ordered_extent_oids(plan, self._wanted())
         primary = plan.index_filters[0]
         if len(plan.index_filters) > 1:
-            oid_set = self._index_candidate_set(plan, wanted)
-            return iter(sorted(oid_set))
+            return iter(sorted(self._index_candidate_set(plan)))
         reverse = (
             plan.order is not None
             and not plan.sort_needed
             and plan.order[1]
             and primary.op != "=="
         )
+        oids = self._index_oids(primary, reverse=reverse)
+        wanted = self._membership(plan)
+        if wanted is None:
+            return oids
         # Index lookups cover the whole class family; re-check membership
         # against the extent the caller actually asked for.
-        return (
-            oid
-            for oid in self._index_oids(primary, reverse=reverse)
-            if oid in wanted
+        return (oid for oid in oids if oid in wanted)
+
+    def _covered(self, plan: QueryPlan) -> bool:
+        """True when one of the plan's indexes covers the queried extent.
+
+        An intersection is a subset of every operand, so one covering
+        index makes the extent-membership re-check a no-op.
+        """
+        return any(
+            self._index_covers_extent(
+                self._require_state(choice.attribute, choice.kind)
+            )
+            for choice in plan.index_filters
         )
+
+    def _membership(self, plan: QueryPlan) -> set[Oid] | None:
+        """The extent to re-check index hits against; None when the plan
+        is covered, so no copy of the extent is built."""
+        return None if self._covered(plan) else self._wanted()
 
     def _ordered_extent_oids(
         self, plan: QueryPlan, wanted: set[Oid]
@@ -830,9 +892,7 @@ class Query:
         stragglers = wanted.difference(state.keyed)
         yield from sorted(stragglers)
 
-    def _index_candidate_set(
-        self, plan: QueryPlan, wanted: set[Oid]
-    ) -> set[Oid]:
+    def _index_candidate_set(self, plan: QueryPlan) -> set[Oid]:
         result: set[Oid] | None = None
         for choice in plan.index_filters:
             oids = set(self._index_oid_list(choice))
@@ -840,7 +900,8 @@ class Query:
             if not result:
                 return set()
         assert result is not None
-        return result & wanted
+        wanted = self._membership(plan)
+        return result if wanted is None else result & wanted
 
     def _index_oid_list(self, choice: IndexChoice) -> list[Oid]:
         """Matching OIDs as one eager list (set building, counting)."""
@@ -944,24 +1005,19 @@ class Query:
             with self._shared_state():
                 if not plan.index_filters:
                     matched = plan.extent_size
-                elif len(plan.index_filters) == 1:
+                elif len(plan.index_filters) == 1 and self._covered(plan):
+                    # Exact count straight off the B-tree — no OID set,
+                    # no membership re-check.
                     choice = plan.index_filters[0]
-                    state = self._require_state(choice.attribute)
-                    if self._index_covers_extent(state):
-                        # Exact count straight off the B-tree — no OID set,
-                        # no membership re-check.
-                        if choice.op == "==":
-                            matched = state.tree.count_key(choice.value)
-                        else:
-                            matched = state.tree.count_range(*_bounds(choice))
+                    tree = self._require_state(choice.attribute, choice.kind).tree
+                    if choice.op == "==":
+                        matched = tree.count_key(choice.value)
+                    elif _empty_interval(choice):
+                        matched = 0
                     else:
-                        matched = len(
-                            self._index_candidate_set(plan, self._wanted())
-                        )
+                        matched = tree.count_range(*_bounds(choice))
                 else:
-                    matched = len(
-                        self._index_candidate_set(plan, self._wanted())
-                    )
+                    matched = len(self._index_candidate_set(plan))
             return matched if plan.limit is None else min(matched, plan.limit)
         return sum(1 for _ in self._execute(plan))
 
@@ -976,20 +1032,17 @@ class Query:
             with self._shared_state():
                 if not plan.index_filters:
                     return plan.extent_size > 0
-                if len(plan.index_filters) == 1:
-                    choice = plan.index_filters[0]
-                    state = self._require_state(choice.attribute)
-                    if self._index_covers_extent(state):
-                        if choice.op == "==":
-                            return state.tree.count_key(choice.value) > 0
-                        for _oid in self._index_oids(choice):
-                            return True
-                        return False
-                    wanted = self._wanted()
-                    return any(
-                        oid in wanted for oid in self._index_oids(choice)
-                    )
-                return bool(self._index_candidate_set(plan, self._wanted()))
+                choice = plan.index_filters[0]
+                if (
+                    len(plan.index_filters) == 1
+                    and choice.op == "=="
+                    and self._covered(plan)
+                ):
+                    tree = self._require_state(choice.attribute, choice.kind).tree
+                    return tree.count_key(choice.value) > 0
+                for _oid in self._candidate_oids(plan):
+                    return True
+                return False
         for _obj in self._execute(plan):
             return True
         return False
@@ -999,9 +1052,21 @@ def _bounds(
     choice: IndexChoice,
 ) -> tuple[Any, Any, tuple[bool, bool]]:
     """B-tree ``(low, high, inclusive)`` bounds for a range comparison."""
+    if choice.upper is not None:
+        high_op, high = choice.upper
+        return choice.value, high, (choice.op == ">=", high_op == "<=")
     if choice.op in ("<", "<="):
         return None, choice.value, (True, choice.op == "<=")
     return choice.value, None, (choice.op == ">=", True)
+
+
+def _empty_interval(choice: IndexChoice) -> bool:
+    """True for a two-sided interval with ``low > high``.
+
+    No key can match, and ``BTree.count_range`` must not be asked: its
+    exclusive-bound correction subtracts boundary keys it never counted.
+    """
+    return choice.upper is not None and choice.value > choice.upper[1]
 
 
 def _take(items: Iterator[Any], count: int) -> Iterator[Any]:

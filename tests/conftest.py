@@ -60,3 +60,27 @@ def _clean_default_scheduler():
     yield
     scheduler.reset_stats()
     scheduler._orphan_deferred.clear()
+
+
+@pytest.fixture
+def track_connects():
+    """Count a ``RuleServer``'s TCP connects on the server side.
+
+    ``track(server)`` wraps the server's ``process_request`` (called once
+    per accepted connection) and returns the list the accepted sockets
+    are appended to; call it before the first client connects.
+    """
+
+    def track(server):
+        accepted = []
+        httpd = server._httpd
+        process_request = httpd.process_request
+
+        def counted(request, address):
+            accepted.append(request)
+            process_request(request, address)
+
+        httpd.process_request = counted
+        return accepted
+
+    return track

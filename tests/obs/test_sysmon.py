@@ -306,7 +306,12 @@ class TestWorkerPoolSaturation:
             gate = threading.Event()
             blocker = system.create_rule(
                 "blocker", "end _Stock::audit()",
-                action=lambda ctx: gate.wait(10.0),
+                # Only the pool slot's holder blocks: the second firing,
+                # rejected to inline, runs on this thread and must not.
+                action=lambda ctx: (
+                    threading.current_thread().name.startswith("rule-worker")
+                    and gate.wait(10.0)
+                ),
                 coupling="decoupled",
             )
             stock = _Stock()

@@ -4,13 +4,16 @@ A real ``RuleServer`` on an ephemeral port, a real ``RuleClient`` over
 HTTP — no mocked sockets.  Covers the JSON protocol surface (create /
 get / update / query / count / invoke / delete / ping / stats), the
 error mapping (404 / 400 / 409), class-level ECA rules firing on the
-serving thread for client-caused events, and concurrent clients writing
-through one server.
+serving thread for client-caused events, concurrent clients writing
+through one server, and the client's kept-alive connections: reconnect
+after a server restart, no re-send of a broken write.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
+from http.client import HTTPConnection
 
 import pytest
 
@@ -175,3 +178,153 @@ class TestConcurrentClients:
         for oid in oids:
             assert client.get(oid)["attrs"]["qty"] == per_client
         assert len(RESTOCKS) == 4 * per_client
+
+
+def _drop_connections(accepted):
+    """Close a stopped server's open connections, as its process exiting
+    would: each client's idle kept-alive socket sees EOF."""
+    for request in accepted:
+        try:
+            request.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
+@pytest.fixture
+def system(tmp_path):
+    RESTOCKS.clear()
+    db = Database(str(tmp_path / "db"), registry=registry, locking=True)
+    system = Sentinel(db=db, adopt_class_rules=False)
+    try:
+        with system:
+            yield system
+    finally:
+        system.close()
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("call", ["get", "invoke"])
+    def test_restarted_server_is_reconnected(
+        self, system, track_connects, monkeypatch, call
+    ):
+        sent: list[str] = []
+        request = HTTPConnection.request
+
+        def counted(self, method, url, *args, **kwargs):
+            sent.append(url)
+            return request(self, method, url, *args, **kwargs)
+
+        monkeypatch.setattr(HTTPConnection, "request", counted)
+        first = RuleServer(system)
+        accepted = track_connects(first)
+        client = RuleClient(first.url)
+        try:
+            with first:
+                oid = client.create("Item", name="widget", qty=1)
+                assert client.get(oid)["attrs"]["qty"] == 1
+                assert len(accepted) == 1
+            _drop_connections(accepted)
+
+            second = RuleServer(system, port=first.port)
+            reconnected = track_connects(second)
+            with second:
+                del sent[:]
+                if call == "get":
+                    assert client.get(oid)["attrs"]["qty"] == 1
+                else:
+                    assert client.invoke(oid, "restock", 5) == 6
+                    assert RESTOCKS == [5]
+                # The stale socket was dropped before anything was sent on
+                # it: one send, on the new connection.
+                assert len(sent) == 1
+                assert len(reconnected) == 1
+                if call == "invoke":
+                    assert client.get(oid)["attrs"]["qty"] == 6
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_broken_invoke_is_not_resent(self, warm):
+        """A stub server answers ``GET /ping`` and swallows every
+        ``/invoke``: it reads the request and closes without a reply."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        invokes: list[bytes] = []
+        stop = threading.Event()
+
+        def serve() -> None:
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    if stop.is_set():
+                        return
+                    continue
+                with conn:
+                    conn.settimeout(5.0)
+                    reader = conn.makefile("rb")
+                    while True:
+                        line = reader.readline()
+                        if not line:
+                            break
+                        length = 0
+                        while (header := reader.readline()) not in (b"\r\n", b""):
+                            name, _, value = header.partition(b":")
+                            if name.strip().lower() == b"content-length":
+                                length = int(value)
+                        reader.read(length)
+                        if b"/invoke" in line:
+                            invokes.append(line)
+                            break
+                        body = b'{"ok": true}'
+                        conn.sendall(
+                            b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                            b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+                        )
+                    reader.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        client = RuleClient(f"http://127.0.0.1:{port}", timeout=5.0)
+        try:
+            if warm:
+                assert client.ping() == {"ok": True}
+            with pytest.raises(OSError):
+                client.invoke(1, "restock", 5)
+        finally:
+            stop.set()
+            thread.join(10.0)
+            listener.close()
+            client.close()
+        assert not thread.is_alive()
+        assert len(invokes) == 1
+
+    def test_threads_sharing_a_client_get_their_own_connection(
+        self, system, track_connects
+    ):
+        server = RuleServer(system)
+        accepted = track_connects(server)
+        client = RuleClient(server.url)
+        barrier = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def ping() -> None:
+            try:
+                barrier.wait(10.0)
+                for _ in range(10):
+                    client.ping()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        with server:
+            threads = [threading.Thread(target=ping) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            assert errors == []
+            assert len(accepted) == 2
+            client.ping()  # the main thread opens a third
+            assert len(accepted) == 3
+            client.close()
